@@ -40,7 +40,9 @@
 //   source_<i>.log          length-prefixed source emission records, written
 //                           by the engine's SourceTap *before* the tuple is
 //                           dispatched (durable-before-dispatch) and
-//                           truncated to the epoch boundary at commit
+//                           truncated to the epoch boundary at commit (the
+//                           live suffix is copied raw into source_<i>.log.tmp
+//                           and renamed into place)
 //   baseline/op_<i>.ckpt    RtMode::kBaseline only: per-unit independent
 //                           checkpoint (tmp + rename). No manifest ties the
 //                           units together and source logs are never
@@ -247,7 +249,7 @@ class RtRuntime final : public Runtime {
   };
 
   /// One source's preservation log (appended under its own mutex by the
-  /// engine tap; rewritten at truncation).
+  /// engine tap; cut at commit by a raw-suffix copy, see truncate_log).
   struct SourceLog {
     /// failed_since value meaning "no uncovered append failure".
     static constexpr std::uint64_t kNoAppendFailure = ~std::uint64_t{0};
@@ -255,20 +257,25 @@ class RtRuntime final : public Runtime {
     std::mutex mu;
     std::string path;
     storage::AppendFile out;        // append handle, reopened on truncation
-    /// Pre-checksum file format (no MSLG header, no per-frame CRC). Appends
-    /// stay format-consistent with the existing bytes; the first truncation
-    /// rewrite upgrades the file to the checksummed format.
-    bool legacy = false;
+    /// Non-OK when the last scan could not read the file: the cursors below
+    /// are unknown, so the append handle stays closed (appends fail loudly
+    /// into the append-failure accounting), truncation is skipped and
+    /// recover() aborts with this status. Guarded by mu.
+    Status scan_error = Status::ok();
     std::uint64_t begin_index = 0;  // first record still in the file
     std::uint64_t next_index = 0;   // index the next append gets
+    /// Byte length of the file's whole frames, header included: where the
+    /// next append lands and where a failed append is cut back to. Guarded
+    /// by mu.
+    std::uint64_t bytes = 0;
     /// Lowest record index whose append failed (the tuple went downstream
     /// but is absent from the replay log). Until every retained epoch's
-    /// boundary passes it, a recovery would silently replay without that
-    /// tuple — health() reports the window. Guarded by mu.
+    /// boundary passes it, a recovery would replay without that tuple —
+    /// health() reports the window. Guarded by mu.
     std::uint64_t failed_since = kNoAppendFailure;
   };
 
-  /// A log record rehydrated for replay or truncation.
+  /// A log record rehydrated for replay.
   struct LogRecord {
     std::uint64_t index = 0;
     int out_port = 0;
@@ -278,17 +285,6 @@ class RtRuntime final : public Runtime {
   /// Manifest payload layout lives in durable_layout.h so the msverify
   /// scrubber decodes exactly what the runtime writes.
   using Manifest = EpochManifest;
-
-  /// What one source log's on-disk bytes look like (read_log out-param).
-  struct LogHealth {
-    bool new_format = false;  // MSLG header + per-frame CRCs
-    bool torn = false;        // trailing bytes past the last whole frame
-    std::uint64_t valid_bytes = 0;  // end of the last verifiable frame
-    /// Non-OK (kUnavailable) when the file could not be read at all: the
-    /// records may be intact — an empty return with this set is "could not
-    /// look", never "nothing to replay". A missing file stays OK.
-    Status error = Status::ok();
-  };
 
   /// Everything recovery needs from one committed epoch (chain resolved):
   /// per-op state bytes, layered deltas, replay boundaries.
@@ -319,12 +315,18 @@ class RtRuntime final : public Runtime {
   /// kDataLoss = frame or payload fails verification; kUnavailable =
   /// transient read error.
   Result<Manifest> read_manifest(std::uint64_t epoch) const;
-  /// Parse one source log; torn tails (crash mid-append, bad frame CRC) are
-  /// dropped and reported via `health` (the file itself is untouched here —
-  /// scan_existing_state does the truncation). A transient read error sets
-  /// `health->error` and returns no records — callers must distinguish that
-  /// from an empty log or replay silently loses the whole suffix.
-  std::vector<LogRecord> read_log(int op, LogHealth* health = nullptr) const;
+  /// Rebuild `log`'s cursors from its file (construction and recovery
+  /// phase 1; caller holds log.mu): verify every frame's CRC without
+  /// decoding, cut a torn tail back to the last whole frame, upgrade a
+  /// pre-checksum log to the checksummed format once, and reopen the append
+  /// handle. Returns the read error of a log that could not be read.
+  Status scan_log(SourceLog& log, std::uint64_t committed_boundary);
+  /// Recovery phase 3: decode the records at or past `boundary`, which must
+  /// run consecutively from `boundary` — a hole is kDataLoss, never a short
+  /// replay. kUnavailable on a read error.
+  Status read_replay(int op, std::uint64_t boundary,
+                     std::vector<LogRecord>* out);
+  /// Drop every record below `boundary` from `op`'s log (commit time).
   void truncate_log(int op, std::uint64_t boundary);
   void scan_existing_state();
   /// Resolve `epoch`'s delta chain and read + verify every blob. kDataLoss =
@@ -423,6 +425,7 @@ class RtRuntime final : public Runtime {
   Counter* m_corrupt_manifests_ = nullptr;  // ft.scan.corrupt_manifests
   Counter* m_corrupt_artifacts_ = nullptr;  // ft.recovery.corrupt_artifacts
   Counter* m_fallbacks_ = nullptr;          // ft.recovery.fallbacks
+  Counter* m_replay_gaps_ = nullptr;        // ft.recovery.replay_gaps
 
   Counter* m_heal_attempts_ = nullptr;
   Counter* m_heal_success_ = nullptr;

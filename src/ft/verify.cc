@@ -95,23 +95,40 @@ void scrub_epoch(const std::string& dir, std::uint64_t epoch,
 
 void scrub_source_log(const std::string& path, ScrubReport* report) {
   const storage::DurableOptions opts{storage::SyncMode::kNone, nullptr};
-  std::vector<std::uint8_t> bytes;
-  const Status st =
-      storage::read_raw(path, storage::ArtifactKind::kSourceLog, opts, &bytes);
+  storage::ReadFile file;
+  Status st = file.open(path, storage::ArtifactKind::kSourceLog, opts);
+  bool checksummed = false;
+  if (st.is_ok()) st = is_checksummed_log(&file, &checksummed);
+  // The same frame rules the runtime's scan applies, so the scrub and a
+  // recovery never disagree about where a log's damage starts.
+  LogCheck check;
+  if (st.is_ok() && checksummed) {
+    st = check_log_frames(&file, file.size(), &check);
+  } else if (st.is_ok() && file.size() > 0) {
+    std::vector<std::uint8_t> bytes(static_cast<std::size_t>(file.size()));
+    std::size_t got = 0;
+    st = file.read_at(0, bytes.data(), bytes.size(), &got);
+    if (st.is_ok()) {
+      const LegacyLogScan scan = scan_legacy_log_bytes(bytes.data(), got);
+      check.valid_bytes = scan.valid_bytes;
+      check.frames = scan.frames.size();
+      check.torn = scan.torn;
+    }
+  }
   if (!st.is_ok()) {
     report->issues.push_back({path, st.message()});
     return;
   }
-  const LogScan scan = scan_log_bytes(bytes.data(), bytes.size());
   ++report->artifacts;
-  if (!scan.new_format && !bytes.empty()) ++report->legacy;
-  report->verified_bytes += scan.valid_bytes;
-  if (scan.torn) {
+  if (!checksummed && file.size() > 0) ++report->legacy;
+  report->verified_bytes += check.valid_bytes;
+  if (check.torn) {
     report->issues.push_back(
-        {path, "torn tail: " + std::to_string(bytes.size() - scan.valid_bytes) +
+        {path, "torn tail: " +
+                   std::to_string(file.size() - check.valid_bytes) +
                    " unverifiable bytes past offset " +
-                   std::to_string(scan.valid_bytes) + " (" +
-                   std::to_string(scan.frames.size()) + " whole frames)"});
+                   std::to_string(check.valid_bytes) + " (" +
+                   std::to_string(check.frames) + " whole frames)"});
   }
 }
 
